@@ -17,5 +17,7 @@ pub mod kernel;
 pub mod matrix;
 
 pub use block::{BlockGrid, ColStrips, RowStrips};
-pub use kernel::{matmul, matmul_accumulate, matmul_blocked, matmul_naive, work_units};
+pub use kernel::{
+    matmul, matmul_accumulate, matmul_accumulate_ikj, matmul_blocked, matmul_naive, work_units,
+};
 pub use matrix::Matrix;

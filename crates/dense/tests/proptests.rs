@@ -8,7 +8,54 @@ fn dims3() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..=12, 1usize..=12, 1usize..=12)
 }
 
+/// Overwrites about one entry in `every` of `m` with a value drawn from
+/// `pool`; positions and picks come from `seed`.
+fn sprinkle(m: &mut Matrix, pool: &[f64], every: usize, seed: u64) {
+    let mut rng = detrng::SplitMix64::new(seed);
+    for x in m.as_mut_slice() {
+        if rng.next_below(every) == 0 {
+            *x = pool[rng.next_below(pool.len())];
+        }
+    }
+}
+
+/// Bit equality, except that any NaN equals any NaN: Rust leaves the
+/// sign and payload of an arithmetic NaN unspecified.
+fn same_bits(x: f64, y: f64) -> bool {
+    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+}
+
 proptest! {
+    #[test]
+    fn accumulate_is_bit_identical_to_plain_ikj(
+        (m, k, n) in (1usize..=70, 1usize..=70, 1usize..=70),
+        seed in 0u64..1_000_000,
+    ) {
+        // C non-zero with some -0.0; A with ±0.0 (the zero-skip);
+        // B with ±inf, NaN and subnormals.
+        let mut c = dense::gen::random(m, n, seed);
+        let mut a = dense::gen::random(m, k, seed + 1);
+        let mut b = dense::gen::random(k, n, seed + 2);
+        sprinkle(&mut c, &[-0.0], 7, seed + 3);
+        sprinkle(&mut a, &[0.0, -0.0], 5, seed + 4);
+        let b_pool = [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE / 3.0,
+            -f64::from_bits(1),
+            1e-310,
+        ];
+        sprinkle(&mut b, &b_pool, 97, seed + 5);
+        let mut fast = c.clone();
+        kernel::matmul_accumulate(&mut fast, &a, &b);
+        let mut slow = c;
+        kernel::matmul_accumulate_ikj(&mut slow, &a, &b);
+        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
+            prop_assert!(same_bits(*x, *y), "{:#x} vs {:#x} at m={m} k={k} n={n}", x.to_bits(), y.to_bits());
+        }
+    }
+
     #[test]
     fn kernels_agree((m, k, n) in dims3(), seed in 0u64..1000) {
         let a = dense::gen::random(m, k, seed);

@@ -71,22 +71,41 @@ pub struct Frontend {
 }
 
 /// Value of a flat JSON field: the raw slice for numbers/booleans, the
-/// unquoted content for strings.  Good enough for this protocol —
-/// values never contain escapes, commas or nesting.
+/// unquoted content for strings.  Walks the object pair by pair, so a
+/// key matches only in key position (`{"tag":"n","n":5}` yields `5` for
+/// `n`); `None` when the key is absent or the object is malformed
+/// before it.  Good enough for this protocol — values never contain
+/// escapes or nesting.
 fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\"");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = obj[at..].trim_start().strip_prefix(':')?.trim_start();
-    if let Some(s) = rest.strip_prefix('"') {
-        s.find('"').map(|end| &s[..end])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
+    let mut rest = obj.trim_start().strip_prefix('{')?;
+    loop {
+        let body = rest.trim_start().strip_prefix('"')?;
+        let end = body.find('"')?;
+        let (name, after) = (&body[..end], &body[end + 1..]);
+        let after = after.trim_start().strip_prefix(':')?.trim_start();
+        let (value, tail) = if let Some(s) = after.strip_prefix('"') {
+            let end = s.find('"')?;
+            (&s[..end], &s[end + 1..])
+        } else {
+            let end = after.find([',', '}']).unwrap_or(after.len());
+            (after[..end].trim(), &after[end..])
+        };
+        if name == key {
+            return Some(value);
+        }
+        rest = tail.trim_start().strip_prefix(',')?;
     }
 }
 
 fn num(obj: &str, key: &str) -> Option<f64> {
     field(obj, key)?.parse().ok()
+}
+
+/// An optional integer field, parsed as the integer type itself (never
+/// through `f64`, so every bit of a 64-bit seed survives): `Ok(None)`
+/// when absent, `Err` when present but not an integer that fits `T`.
+fn int<T: std::str::FromStr>(obj: &str, key: &str) -> Result<Option<T>, ()> {
+    field(obj, key).map_or(Ok(None), |v| v.parse().map(Some).map_err(drop))
 }
 
 fn err(detail: &str) -> String {
@@ -151,11 +170,18 @@ impl Frontend {
         if self.draining {
             return "{\"ok\":false,\"error\":\"draining\",\"backpressure\":true}".to_string();
         }
-        let Some(n) = num(line, "n")
-            .filter(|x| x.fract() == 0.0 && *x >= 1.0 && *x <= MAX_SUBMIT_N as f64)
-            .map(|x| x as usize)
+        let Some(n) = int::<usize>(line, "n")
+            .ok()
+            .flatten()
+            .filter(|n| (1..=MAX_SUBMIT_N).contains(n))
         else {
             return err(&format!("submit needs an integer n in 1..={MAX_SUBMIT_N}"));
+        };
+        let Ok(priority) = int::<u8>(line, "priority") else {
+            return err("priority must be an integer in 0..=255");
+        };
+        let Ok(seed) = int::<u64>(line, "seed") else {
+            return err("seed must be an integer in 0..=18446744073709551615");
         };
         let floor = self.jobs.last().map_or(0.0, |j| j.arrival);
         let arrival = num(line, "arrival")
@@ -166,9 +192,8 @@ impl Frontend {
         let spec = JobSpec {
             n,
             arrival,
-            priority: num(line, "priority").map_or(0, |x| x as u8),
-            seed: num(line, "seed")
-                .map_or_else(|| detrng::mix(&[id as u64, n as u64]), |x| x as u64),
+            priority: priority.unwrap_or(0),
+            seed: seed.unwrap_or_else(|| detrng::mix(&[id as u64, n as u64])),
             deadline: num(line, "deadline"),
         };
         self.jobs.push(spec);
@@ -176,8 +201,8 @@ impl Frontend {
     }
 
     fn status(&self, line: &str) -> String {
-        let Some(id) = num(line, "id").map(|x| x as usize) else {
-            return err("status needs an id");
+        let Ok(Some(id)) = int::<usize>(line, "id") else {
+            return err("status needs a non-negative integer id");
         };
         if id >= self.jobs.len() {
             return err(&format!("unknown job {id}"));
@@ -259,6 +284,10 @@ impl Frontend {
 /// stream is the tail of the oversized line).  Returns after a
 /// `shutdown` verb.
 ///
+/// Each accepted stream has Nagle's algorithm off, and each reply goes
+/// out as one write, so a client never waits on a delayed ACK for the
+/// tail of a reply.
+///
 /// # Errors
 /// Propagates socket I/O errors.
 pub fn serve<F: FnMut() -> f64>(
@@ -268,34 +297,50 @@ pub fn serve<F: FnMut() -> f64>(
 ) -> std::io::Result<()> {
     for stream in listener.incoming() {
         let stream = stream?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if reader.by_ref().take(MAX_LINE).read_line(&mut line)? == 0 {
-                break; // client hung up; wait for the next one
-            }
-            if line.len() as u64 >= MAX_LINE && !line.ends_with('\n') {
-                writer.write_all(err("request line too long").as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                break; // drop the client; its stream is mid-line
-            }
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let (reply, shutdown) = frontend.handle(trimmed, now_fn());
-            writer.write_all(reply.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
-            if shutdown {
-                return Ok(());
-            }
+        stream.set_nodelay(true)?;
+        let reader = BufReader::new(stream.try_clone()?);
+        if session(reader, stream, frontend, &mut now_fn)? {
+            return Ok(());
         }
     }
     Ok(())
+}
+
+/// One client's requests, answered until it hangs up, overruns
+/// [`MAX_LINE`] or asks for `shutdown`; says whether it was the last.
+fn session<R: BufRead, W: Write, F: FnMut() -> f64>(
+    mut reader: R,
+    mut writer: W,
+    frontend: &mut Frontend,
+    now_fn: &mut F,
+) -> std::io::Result<bool> {
+    let mut line = String::new();
+    loop {
+        line.clear();
+        if reader.by_ref().take(MAX_LINE).read_line(&mut line)? == 0 {
+            return Ok(false); // client hung up; wait for the next one
+        }
+        if line.len() as u64 >= MAX_LINE && !line.ends_with('\n') {
+            reply_line(&mut writer, err("request line too long"))?;
+            return Ok(false); // drop the client; its stream is mid-line
+        }
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            continue;
+        }
+        let (reply, shutdown) = frontend.handle(trimmed, now_fn());
+        reply_line(&mut writer, reply)?;
+        if shutdown {
+            return Ok(true);
+        }
+    }
+}
+
+/// Send `reply` and its newline in a single write.
+fn reply_line<W: Write>(writer: &mut W, mut reply: String) -> std::io::Result<()> {
+    reply.push('\n');
+    writer.write_all(reply.as_bytes())?;
+    writer.flush()
 }
 
 #[cfg(test)]
@@ -507,6 +552,122 @@ mod tests {
         let (reply, down) = fe.handle("{\"verb\":\"shutdown\"}", 0.0);
         assert!(down);
         assert!(reply.contains("\"bye\":true"));
+    }
+
+    #[test]
+    fn keys_match_only_in_key_position() {
+        let mut fe = frontend("fifo");
+        // "n" appears first as a value; the key after it is the one.
+        let (reply, _) = fe.handle("{\"verb\":\"submit\",\"tag\":\"n\",\"n\":5}", 0.0);
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        assert_eq!(fe.jobs()[0].n, 5);
+        let (reply, _) = fe.handle("{\"tag\":\"verb\",\"verb\":\"stats\"}", 0.0);
+        assert!(reply.contains("\"jobs\":1"), "{reply}");
+    }
+
+    #[test]
+    fn out_of_range_priorities_are_refused_not_saturated() {
+        let mut fe = frontend("fifo");
+        for bad in ["300", "256", "-1", "1.5", "\"high\""] {
+            let (reply, _) = fe.handle(
+                &format!("{{\"verb\":\"submit\",\"n\":8,\"priority\":{bad}}}"),
+                0.0,
+            );
+            assert!(
+                reply.contains("\"ok\":false") && reply.contains("priority"),
+                "priority {bad} -> {reply}"
+            );
+        }
+        assert!(fe.jobs().is_empty());
+        let (reply, _) = fe.handle("{\"verb\":\"submit\",\"n\":8,\"priority\":255}", 0.0);
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        assert_eq!(fe.jobs()[0].priority, 255);
+    }
+
+    #[test]
+    fn negative_or_fractional_ids_are_refused() {
+        let mut fe = frontend("fifo");
+        let _ = fe.handle("{\"verb\":\"submit\",\"n\":8}", 0.0);
+        // Once cast through f64, -1 and 0.5 both answered for job 0.
+        for bad in ["-1", "0.5", "1e0"] {
+            let (reply, _) = fe.handle(&format!("{{\"verb\":\"status\",\"id\":{bad}}}"), 0.0);
+            assert!(
+                reply.contains("\"ok\":false") && !reply.contains("\"state\""),
+                "id {bad} -> {reply}"
+            );
+        }
+        let (reply, _) = fe.handle("{\"verb\":\"status\",\"id\":0}", 0.0);
+        assert!(reply.contains("\"state\":\"done\""), "{reply}");
+    }
+
+    #[test]
+    fn seeds_above_two_to_the_53_keep_every_bit() {
+        let mut fe = frontend("fifo");
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let (reply, _) = fe.handle(
+                &format!("{{\"verb\":\"submit\",\"n\":8,\"seed\":{seed}}}"),
+                0.0,
+            );
+            assert!(reply.contains("\"ok\":true"), "{reply}");
+            assert_eq!(fe.jobs().last().unwrap().seed, seed);
+        }
+        // One past u64::MAX does not fit, and a negative seed is no seed.
+        for bad in ["18446744073709551616", "-1"] {
+            let (reply, _) = fe.handle(
+                &format!("{{\"verb\":\"submit\",\"n\":8,\"seed\":{bad}}}"),
+                0.0,
+            );
+            assert!(reply.contains("\"ok\":false"), "seed {bad} -> {reply}");
+        }
+        assert_eq!(fe.jobs().len(), 2);
+    }
+
+    /// A writer that records each `write` call separately.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_is_one_write() {
+        let mut fe = frontend("fifo");
+        let input = "{\"verb\":\"submit\",\"n\":8}\n\n{\"verb\":\"status\",\"id\":0}\n\
+                     {\"verb\":\"stats\"}\n{\"verb\":\"shutdown\"}\n{\"verb\":\"stats\"}\n";
+        let mut out = CountingWriter::default();
+        let last = session(input.as_bytes(), &mut out, &mut fe, &mut || 0.0).unwrap();
+        assert!(last, "shutdown ends the service");
+        // The blank line gets no reply; nothing after shutdown is read.
+        assert_eq!(out.writes.len(), 4);
+        for w in &out.writes {
+            assert!(w.ends_with(b"\n"), "{w:?}");
+            assert_eq!(w.iter().filter(|&&b| b == b'\n').count(), 1, "{w:?}");
+        }
+    }
+
+    #[test]
+    fn an_overlong_line_gets_one_write_and_a_hang_up() {
+        let mut fe = frontend("fifo");
+        let long = format!("{{\"verb\":\"{}\"}}", "x".repeat(MAX_LINE as usize));
+        let input = format!("{{\"verb\":\"stats\"}}\n{long}\n{{\"verb\":\"shutdown\"}}\n");
+        let mut out = CountingWriter::default();
+        let last = session(input.as_bytes(), &mut out, &mut fe, &mut || 0.0).unwrap();
+        assert!(!last, "the client is dropped, the service stays up");
+        assert_eq!(out.writes.len(), 2);
+        assert_eq!(
+            out.writes[1],
+            b"{\"ok\":false,\"error\":\"request line too long\"}\n".to_vec()
+        );
     }
 
     #[test]
