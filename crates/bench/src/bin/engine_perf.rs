@@ -9,7 +9,7 @@
 //! cargo run --release -p bench --bin engine_perf -- --enforce # assert speedup
 //! ```
 //!
-//! Four slices exercise the paths the headline artefacts spend their
+//! Six slices exercise the paths the headline artefacts spend their
 //! time in:
 //!
 //! * `regions`  — repeated Figure 1–3 region-map grids (pure model
@@ -21,23 +21,26 @@
 //!   massive-p regime, gated against a measured thread-per-rank
 //!   baseline (the wall-clock floor for the engine refactor).
 //! * `workload` — a gemmd service sweep (scheduler + partitioned runs).
+//! * `ablation` — simulated `T_p` of the design-choice ablations (Fox
+//!   packet counts, Cannon routing mode, GK topology); it has a golden
+//!   but no wall-clock floor.
 //!
 //! Every slice reduces its runs to virtual-time observables —
 //! `t_parallel`, per-rank [`mmsim::ProcStats`], message/word counts,
-//! region letters, the workload table — formatted with exact float
-//! bit patterns and compared byte-for-byte against committed goldens
-//! in `crates/bench/goldens/`.  Wall-clock times go to
-//! `BENCH_engine.json` next to the workspace root, with speedups
+//! region letters, the workload table, the ablation `T_p`s —
+//! formatted with exact float bit patterns and compared byte-for-byte
+//! against committed goldens in `crates/bench/goldens/`.  Wall-clock
+//! times go to `BENCH_engine.json` at the workspace root, with speedups
 //! computed against the recorded pre-optimisation baseline.
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use bench::golden::{bits, check, workspace_root, Args};
 use bench::workload_common::{run_workload_sweep, WorkloadSweep};
 use dense::gen;
-use mmsim::{CostModel, EngineKind, Machine, ProcStats, Topology};
+use mmsim::{CostModel, EngineKind, Machine, ProcStats, Routing, Topology};
 use model::regions::RegionMap;
 use model::MachineParams;
 
@@ -67,56 +70,10 @@ mod baseline {
     ];
 }
 
-/// Exact-bit float formatting: decimal for the human, bits for the
-/// byte-identity gate.
-fn bits(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
 struct SliceResult {
     name: &'static str,
     runs: usize,
     wall_ms: f64,
-}
-
-fn goldens_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens")
-}
-
-fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf()
-}
-
-/// Compare `actual` against the committed golden `name`, or rewrite it
-/// under `--bless`.  On mismatch the actual bytes are parked in
-/// `results/` for inspection and the process exits nonzero.
-fn check_golden(name: &str, actual: &str, bless: bool) -> bool {
-    let path = goldens_dir().join(name);
-    if bless {
-        fs::create_dir_all(goldens_dir()).expect("create goldens dir");
-        fs::write(&path, actual).expect("write golden");
-        println!("  blessed {}", path.display());
-        return true;
-    }
-    let expected = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e}); run with --bless", path.display()));
-    if expected == actual {
-        println!("  golden {name}: byte-identical");
-        true
-    } else {
-        let park = bench::results_dir().join(format!("{name}.actual"));
-        fs::create_dir_all(bench::results_dir()).expect("create results dir");
-        fs::write(&park, actual).expect("park actual");
-        eprintln!(
-            "  golden {name}: MISMATCH — virtual-time output drifted; actual parked at {}",
-            park.display()
-        );
-        false
-    }
 }
 
 /// One simulated run reduced to its virtual-time observables.
@@ -201,9 +158,8 @@ fn run_cm5_slice(
 }
 
 /// The region-map slice: recompute the Figure 1–3 grids `reps` times
-/// (the repeated-evaluation pattern of the Criterion benches and the
-/// scalability explorer), golden-reducing each grid to one letter
-/// string per map row.
+/// (the repeated-evaluation pattern of the scalability explorer),
+/// golden-reducing each grid to one letter string per map row.
 fn run_regions_slice(reps: usize, cols: usize, rows: usize, csv: &mut String) -> SliceResult {
     let figures: [(&str, MachineParams); 3] = [
         ("fig1_ncube2", MachineParams::ncube2()),
@@ -277,6 +233,42 @@ fn run_workload_slice(csv: &mut String) -> SliceResult {
     }
 }
 
+/// The design-choice ablations, as simulated `T_p`: Fox with 1–16
+/// pipelined packets, Cannon under cut-through vs store-and-forward
+/// routing, and GK on a hypercube vs a fully connected machine (all on
+/// the nCUBE2 constants).  Model-level output only, so no floor.
+fn run_ablation_slice(csv: &mut String) -> SliceResult {
+    let cost = CostModel::ncube2();
+    let (a, b) = gen::random_pair(32, 9);
+    let (a64, b64) = gen::random_pair(64, 10);
+    let start = Instant::now();
+    let mut rows: Vec<(&str, String, f64)> = Vec::new();
+    let torus = Machine::new(Topology::square_torus_for(16), cost);
+    for packets in [1usize, 2, 4, 8, 16] {
+        let out = algos::fox_pipelined(&torus, &a, &b, packets).expect("fox_pipelined ablation");
+        rows.push(("fox_packets", packets.to_string(), out.t_parallel));
+    }
+    for routing in [Routing::CutThrough, Routing::StoreAndForward] {
+        let m = Machine::new(Topology::hypercube_for(16), cost.with_routing(routing));
+        let out = algos::cannon(&m, &a, &b).expect("cannon routing ablation");
+        rows.push(("cannon_routing", format!("{routing:?}"), out.t_parallel));
+    }
+    for topo in [Topology::hypercube_for(64), Topology::fully_connected(64)] {
+        let kind = topo.kind().to_string();
+        let out = algos::gk(&Machine::new(topo, cost), &a64, &b64).expect("gk topology ablation");
+        rows.push(("gk_topology", kind, out.t_parallel));
+    }
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    for (case, setting, t) in &rows {
+        let _ = writeln!(csv, "{case},{setting},{},{t:.6}", bits(*t));
+    }
+    SliceResult {
+        name: "ablation",
+        runs: rows.len(),
+        wall_ms,
+    }
+}
+
 fn write_bench_json(mode: &str, slices: &[SliceResult], golden_ok: bool) {
     let baselines = if mode == "smoke" {
         baseline::SMOKE
@@ -311,24 +303,16 @@ fn write_bench_json(mode: &str, slices: &[SliceResult], golden_ok: bool) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(bad) = args
-        .iter()
-        .find(|a| !matches!(a.as_str(), "--smoke" | "--bless" | "--enforce"))
-    {
-        eprintln!("engine_perf: unknown argument `{bad}`");
-        eprintln!("usage: engine_perf [--smoke] [--bless] [--enforce]");
-        std::process::exit(1);
-    }
-    let has = |f: &str| args.iter().any(|a| a == f);
-    let (smoke, bless, enforce) = (has("--smoke"), has("--bless"), has("--enforce"));
-    let mode = if smoke { "smoke" } else { "full" };
+    let args = Args::from_env("engine_perf [--smoke] [--bless] [--enforce]", &[]);
+    let (smoke, bless, enforce) = (args.smoke, args.bless, args.enforce);
+    let mode = args.mode();
     println!("=== engine_perf: simulator hot-path benchmark ({mode} slices) ===\n");
 
     let mut runs_csv = String::from(RUN_HEADER);
     let mut ranks_csv = String::from(RANK_HEADER);
     let mut regions_csv = String::from("figure,row,letters\n");
     let mut workload_csv = String::new();
+    let mut ablation_csv = String::from("case,setting,t_parallel_bits,t_parallel\n");
     let mut slices = Vec::new();
 
     // Region-map slice: full = the exact Figure 1–3 grids, repeated;
@@ -395,6 +379,9 @@ fn main() {
     // the CI smoke sweep).
     slices.push(run_workload_slice(&mut workload_csv));
 
+    // Design-choice ablations (same cases in both modes).
+    slices.push(run_ablation_slice(&mut ablation_csv));
+
     println!("slice      runs  wall_ms");
     println!("-----------------------");
     for s in &slices {
@@ -403,10 +390,15 @@ fn main() {
     println!();
 
     let mut ok = true;
-    ok &= check_golden(&format!("{mode}_runs.csv"), &runs_csv, bless);
-    ok &= check_golden(&format!("{mode}_ranks.csv"), &ranks_csv, bless);
-    ok &= check_golden(&format!("{mode}_regions.csv"), &regions_csv, bless);
-    ok &= check_golden(&format!("{mode}_workload.csv"), &workload_csv, bless);
+    for (name, csv) in [
+        ("runs", &runs_csv),
+        ("ranks", &ranks_csv),
+        ("regions", &regions_csv),
+        ("workload", &workload_csv),
+        ("ablation", &ablation_csv),
+    ] {
+        ok &= check(&format!("{mode}_{name}.csv"), csv, bless);
+    }
 
     write_bench_json(mode, &slices, ok);
 

@@ -33,11 +33,10 @@
 //! reactive one, with at least one migration and at least one reactive
 //! loss actually exercised.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::fs;
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+use bench::golden::{bits, Args};
 
 use gemmd::policy::Fifo;
 use gemmd::{Config, JobSpec, Scheduler, ServiceReport};
@@ -67,57 +66,6 @@ const ARRIVAL_GAP: f64 = 3_000.0;
 const DEFAULT_JOBS: usize = 12;
 const SMOKE_JOBS: usize = 6;
 const DEFAULT_SEED: u64 = 9;
-
-struct Args {
-    jobs: usize,
-    seed: u64,
-    smoke: bool,
-    bless: bool,
-    enforce: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut flags: HashMap<String, String> = HashMap::new();
-    let (mut smoke, mut bless, mut enforce) = (false, false, false);
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--bless" => bless = true,
-            "--enforce" => enforce = true,
-            _ => {
-                if let Some(name) = arg.strip_prefix("--") {
-                    let value = args
-                        .next()
-                        .ok_or_else(|| format!("missing value for --{name}"))?;
-                    flags.insert(name.to_string(), value);
-                } else {
-                    return Err(format!("unexpected argument {arg:?}"));
-                }
-            }
-        }
-    }
-    let default_jobs = if smoke { SMOKE_JOBS } else { DEFAULT_JOBS };
-    let jobs: usize = flags
-        .get("jobs")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--jobs: {e}"))?
-        .unwrap_or(default_jobs);
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--seed: {e}"))?
-        .unwrap_or(DEFAULT_SEED);
-    Ok(Args {
-        jobs,
-        seed,
-        smoke,
-        bless,
-        enforce,
-    })
-}
 
 /// The degradation-heavy machine: base 2% loss everywhere, ranks 0 and
 /// 4 with half-dead outgoing links (their heartbeat paths), deaths on
@@ -161,63 +109,20 @@ fn run_mode(m: &Machine, jobs: &[JobSpec], migration_streak: u32) -> ServiceRepo
         .unwrap_or_else(|e| panic!("service run failed: {e}"))
 }
 
-/// Exact-bit float formatting for the golden.
-fn bits(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-fn goldens_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens")
-}
-
-/// Compare `actual` against the committed golden `name`, or rewrite it
-/// under `--bless`; mismatches park the actual bytes in `results/`.
-fn check_golden(name: &str, actual: &str, bless: bool) -> bool {
-    let path = goldens_dir().join(name);
-    if bless {
-        fs::create_dir_all(goldens_dir()).expect("create goldens dir");
-        fs::write(&path, actual).expect("write golden");
-        println!("blessed {}", path.display());
-        return true;
-    }
-    let expected = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e}); run with --bless", path.display()));
-    if expected == actual {
-        println!("golden {name}: byte-identical");
-        true
-    } else {
-        let park = bench::results_dir().join(format!("{name}.actual"));
-        fs::create_dir_all(bench::results_dir()).expect("create results dir");
-        fs::write(&park, actual).expect("park actual");
-        eprintln!(
-            "golden {name}: MISMATCH — migration output drifted; actual parked at {}",
-            park.display()
-        );
-        false
-    }
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: migration [--jobs <count>] [--seed <plan seed>] [--smoke] [--bless] [--enforce]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let mode = if args.smoke { "smoke" } else { "full" };
-    let default_sweep = args.seed == DEFAULT_SEED
-        && args.jobs == if args.smoke { SMOKE_JOBS } else { DEFAULT_JOBS };
-    if args.bless && !default_sweep {
-        eprintln!("error: --bless requires the default --jobs/--seed");
-        return ExitCode::FAILURE;
-    }
+    let args = Args::from_env(
+        "migration [--jobs <count>] [--seed <plan seed>] [--smoke] [--bless] [--enforce]",
+        &["jobs", "seed"],
+    );
+    let default_jobs = if args.smoke { SMOKE_JOBS } else { DEFAULT_JOBS };
+    let (jobs, seed) = (
+        args.value("jobs", default_jobs),
+        args.value("seed", DEFAULT_SEED),
+    );
+    let pinned = args.pinned((jobs, seed) == (default_jobs, DEFAULT_SEED));
 
-    let m = machine(args.seed);
-    let jobs = stream(args.jobs);
+    let m = machine(seed);
+    let jobs = stream(jobs);
     let reactive = run_mode(&m, &jobs, 0);
     let proactive = run_mode(&m, &jobs, MIGRATION_STREAK);
 
@@ -279,13 +184,5 @@ fn main() -> ExitCode {
         );
     }
 
-    if default_sweep {
-        if !check_golden(&format!("{mode}_migration.csv"), &golden, args.bless) {
-            eprintln!("\nFAIL: migration golden drifted (stale rows)");
-            return ExitCode::FAILURE;
-        }
-    } else {
-        println!("golden check skipped (non-default --jobs/--seed)");
-    }
-    ExitCode::SUCCESS
+    args.gate(pinned, "migration", &golden)
 }

@@ -1,12 +1,14 @@
-//! Shared harness for the experiment binaries and Criterion benches:
-//! result tables, CSV emission, and parallel sweeps.
+//! Shared harness for the experiment binaries: result tables, CSV
+//! emission, parallel sweeps, and the golden harness ([`golden`]).
 //!
 //! Every table and figure of the paper has one binary in `src/bin/`
-//! that regenerates it (see DESIGN.md's per-experiment index) and one
-//! Criterion bench group in `benches/` that measures the machinery
-//! behind it.
+//! that regenerates it (see DESIGN.md's per-experiment index).  The
+//! binaries whose output is pinned (`engine_perf`, `resilience`,
+//! `migration`, `service`, `preemption`) gate it on byte-identical
+//! golden CSVs through [`golden`].
 
 pub mod cm5_common;
+pub mod golden;
 pub mod plot;
 pub mod regions_common;
 pub mod service_common;
@@ -15,7 +17,7 @@ pub mod workload_common;
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// A rectangular results table that renders as aligned text and CSV.
 #[derive(Debug, Clone)]
@@ -109,15 +111,11 @@ impl ResultTable {
     }
 }
 
-/// `<workspace>/results` (next to the top-level Cargo.toml).
+/// `<workspace>/results` (next to the top-level Cargo.toml), with the
+/// workspace root resolved at run time ([`golden::workspace_root`]).
 #[must_use]
 pub fn results_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench → workspace root is two up.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .join("results")
+    golden::workspace_root().join("results")
 }
 
 /// Format an efficiency / ratio to three decimals, or `-`.

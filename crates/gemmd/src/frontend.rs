@@ -29,7 +29,8 @@
 //! hostile client cannot wedge the replay loop with a multi-gigabyte
 //! GEMM.  The socket loop bounds request lines at [`MAX_LINE`] bytes
 //! and drops clients that exceed it (the rest of their stream is
-//! mid-line garbage).
+//! mid-line garbage).  A line that is not UTF-8 gets an error reply;
+//! a client whose connection fails ends only its own session.
 //!
 //! Determinism by **replay**: the front-end only accumulates the
 //! submitted [`JobSpec`]s (arrival times clamped monotone, so the
@@ -281,15 +282,17 @@ impl Frontend {
 /// clock here, keeping the core free of real time.  Request lines are
 /// bounded at [`MAX_LINE`] bytes; a client that exceeds the bound gets
 /// one structured error reply and is disconnected (the rest of its
-/// stream is the tail of the oversized line).  Returns after a
-/// `shutdown` verb.
+/// stream is the tail of the oversized line).  A client whose
+/// connection fails — a reset, a reply it never read — loses only its
+/// own session.  Returns after a `shutdown` verb.
 ///
 /// Each accepted stream has Nagle's algorithm off, and each reply goes
 /// out as one write, so a client never waits on a delayed ACK for the
 /// tail of a reply.
 ///
 /// # Errors
-/// Propagates socket I/O errors.
+/// Propagates errors of the listener itself; a client's I/O errors end
+/// only that client's session.
 pub fn serve<F: FnMut() -> f64>(
     listener: &TcpListener,
     frontend: &mut Frontend,
@@ -297,9 +300,11 @@ pub fn serve<F: FnMut() -> f64>(
 ) -> std::io::Result<()> {
     for stream in listener.incoming() {
         let stream = stream?;
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        if session(reader, stream, frontend, &mut now_fn)? {
+        // A client already gone before its session starts is dropped.
+        let Ok(reader) = stream.set_nodelay(true).and_then(|()| stream.try_clone()) else {
+            continue;
+        };
+        if session(BufReader::new(reader), stream, frontend, &mut now_fn) {
             return Ok(());
         }
     }
@@ -307,31 +312,35 @@ pub fn serve<F: FnMut() -> f64>(
 }
 
 /// One client's requests, answered until it hangs up, overruns
-/// [`MAX_LINE`] or asks for `shutdown`; says whether it was the last.
+/// [`MAX_LINE`], fails a read or a write, or asks for `shutdown`; says
+/// whether it was the last.  A line that is not UTF-8 gets one
+/// structured error reply and the session goes on.
 fn session<R: BufRead, W: Write, F: FnMut() -> f64>(
     mut reader: R,
     mut writer: W,
     frontend: &mut Frontend,
     now_fn: &mut F,
-) -> std::io::Result<bool> {
-    let mut line = String::new();
+) -> bool {
+    let mut line = Vec::new();
     loop {
         line.clear();
-        if reader.by_ref().take(MAX_LINE).read_line(&mut line)? == 0 {
-            return Ok(false); // client hung up; wait for the next one
+        match reader.by_ref().take(MAX_LINE).read_until(b'\n', &mut line) {
+            // Hung up, or the connection broke: wait for the next client.
+            Ok(0) | Err(_) => return false,
+            Ok(_) => {}
         }
-        if line.len() as u64 >= MAX_LINE && !line.ends_with('\n') {
-            reply_line(&mut writer, err("request line too long"))?;
-            return Ok(false); // drop the client; its stream is mid-line
+        if line.len() as u64 >= MAX_LINE && !line.ends_with(b"\n") {
+            let _ = reply_line(&mut writer, err("request line too long"));
+            return false; // drop the client; its stream is mid-line
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let (reply, shutdown) = frontend.handle(trimmed, now_fn());
-        reply_line(&mut writer, reply)?;
-        if shutdown {
-            return Ok(true);
+        let (reply, shutdown) = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => frontend.handle(text.trim(), now_fn()),
+            Err(_) => (err("request is not UTF-8"), false),
+        };
+        // A shutdown holds even if its reply cannot be delivered.
+        if reply_line(&mut writer, reply).is_err() || shutdown {
+            return shutdown;
         }
     }
 }
@@ -645,7 +654,7 @@ mod tests {
         let input = "{\"verb\":\"submit\",\"n\":8}\n\n{\"verb\":\"status\",\"id\":0}\n\
                      {\"verb\":\"stats\"}\n{\"verb\":\"shutdown\"}\n{\"verb\":\"stats\"}\n";
         let mut out = CountingWriter::default();
-        let last = session(input.as_bytes(), &mut out, &mut fe, &mut || 0.0).unwrap();
+        let last = session(input.as_bytes(), &mut out, &mut fe, &mut || 0.0);
         assert!(last, "shutdown ends the service");
         // The blank line gets no reply; nothing after shutdown is read.
         assert_eq!(out.writes.len(), 4);
@@ -661,13 +670,152 @@ mod tests {
         let long = format!("{{\"verb\":\"{}\"}}", "x".repeat(MAX_LINE as usize));
         let input = format!("{{\"verb\":\"stats\"}}\n{long}\n{{\"verb\":\"shutdown\"}}\n");
         let mut out = CountingWriter::default();
-        let last = session(input.as_bytes(), &mut out, &mut fe, &mut || 0.0).unwrap();
+        let last = session(input.as_bytes(), &mut out, &mut fe, &mut || 0.0);
         assert!(!last, "the client is dropped, the service stays up");
         assert_eq!(out.writes.len(), 2);
         assert_eq!(
             out.writes[1],
             b"{\"ok\":false,\"error\":\"request line too long\"}\n".to_vec()
         );
+    }
+
+    #[test]
+    fn a_non_utf8_line_gets_one_error_and_the_session_goes_on() {
+        let mut fe = frontend("fifo");
+        let input: &[u8] = b"\xff\xfe{\"verb\":\"stats\"}\n{\"verb\":\"stats\"}\n";
+        let mut out = CountingWriter::default();
+        assert!(!session(input, &mut out, &mut fe, &mut || 0.0));
+        assert_eq!(out.writes.len(), 2);
+        assert_eq!(
+            out.writes[0],
+            b"{\"ok\":false,\"error\":\"request is not UTF-8\"}\n".to_vec()
+        );
+        assert!(out.writes[1].starts_with(b"{\"ok\":true"));
+    }
+
+    /// A reader or writer whose connection was reset by the peer.
+    struct Reset;
+
+    impl Read for Reset {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::ConnectionReset.into())
+        }
+    }
+
+    impl Write for Reset {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::ConnectionReset.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_read_error_ends_only_the_session() {
+        let mut fe = frontend("fifo");
+        let input = BufReader::new(b"{\"verb\":\"submit\",\"n\":8}\n".chain(Reset));
+        let mut out = CountingWriter::default();
+        assert!(!session(input, &mut out, &mut fe, &mut || 0.0));
+        assert_eq!(
+            out.writes.len(),
+            1,
+            "the request before the reset is answered"
+        );
+        assert_eq!(fe.jobs().len(), 1);
+    }
+
+    #[test]
+    fn a_write_error_ends_only_the_session() {
+        let mut fe = frontend("fifo");
+        let input = "{\"verb\":\"submit\",\"n\":8}\n{\"verb\":\"submit\",\"n\":8}\n";
+        assert!(!session(input.as_bytes(), Reset, &mut fe, &mut || 0.0));
+        assert_eq!(fe.jobs().len(), 1, "nothing is read after the failed reply");
+    }
+
+    /// Replies `session` owes `input`, and whether it ends in a
+    /// shutdown: one per non-blank line, stopping at the end of the
+    /// stream, a `shutdown`, or a line over [`MAX_LINE`] (which gets
+    /// one reply of its own).
+    fn owed_replies(mut input: &[u8]) -> (usize, bool) {
+        let mut owed = 0;
+        while !input.is_empty() {
+            let window = &input[..input.len().min(MAX_LINE as usize)];
+            let len = window
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(window.len(), |i| i + 1);
+            let (line, rest) = input.split_at(len);
+            input = rest;
+            if len as u64 >= MAX_LINE && !line.ends_with(b"\n") {
+                return (owed + 1, false);
+            }
+            match std::str::from_utf8(line) {
+                Ok(text) if text.trim().is_empty() => {}
+                Ok(text) => {
+                    owed += 1;
+                    if field(text.trim(), "verb") == Some("shutdown") {
+                        return (owed, true);
+                    }
+                }
+                Err(_) => owed += 1,
+            }
+        }
+        (owed, false)
+    }
+
+    /// Pieces the fuzzed streams are built from besides raw bytes and
+    /// a rare `shutdown`: line breaks, whole and broken requests, stray
+    /// UTF-8 fragments, and a run long enough that two in one line
+    /// overrun MAX_LINE.
+    const PIECES: &[&[u8]] = &[
+        b"\n",
+        b"\r\n",
+        b"   ",
+        b"{\"verb\":\"stats\"}\n",
+        b"{\"verb\":\"submit\",\"n\":8}\n",
+        b"{\"verb\":\"status\",\"id\":0}",
+        b"{\"verb\":\"drain\"}",
+        b"{\"verb\":",
+        b"\xc3",
+        b"\xe2\x82\xac",
+        &[b'x'; 5000],
+    ];
+
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Arbitrary bytes through a whole session: no panic, and
+            /// exactly the replies `owed_replies` counts, each one line.
+            #[test]
+            fn arbitrary_streams_get_one_reply_line_per_request(
+                picks in proptest::collection::vec(0u32..512, 0..160),
+            ) {
+                let input: Vec<u8> = picks
+                    .iter()
+                    .flat_map(|&k| match k {
+                        0..=255 => vec![k as u8],
+                        511 => b"{\"verb\":\"shutdown\"}\n".to_vec(),
+                        _ => PIECES[k as usize % PIECES.len()].to_vec(),
+                    })
+                    .collect();
+                let mut fe = frontend("fifo");
+                let mut out = CountingWriter::default();
+                let last = session(input.as_slice(), &mut out, &mut fe, &mut || 0.0);
+                let (owed, shutdown) = owed_replies(&input);
+                prop_assert_eq!(out.writes.len(), owed);
+                prop_assert_eq!(last, shutdown);
+                for w in &out.writes {
+                    prop_assert!(w.starts_with(b"{\"ok\":") && w.ends_with(b"\n"), "{:?}", w);
+                    prop_assert_eq!(w.iter().filter(|&&b| b == b'\n').count(), 1);
+                }
+            }
+        }
     }
 
     #[test]

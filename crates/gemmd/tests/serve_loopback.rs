@@ -161,3 +161,51 @@ fn oversized_request_lines_get_one_error_and_a_disconnect() {
     assert!(bye.contains("\"bye\":true"), "shutdown: {bye}");
     server.join().expect("server thread");
 }
+
+#[test]
+fn misbehaving_clients_do_not_stop_the_service() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+
+    let server = std::thread::spawn(move || {
+        let machine = Machine::new(Topology::hypercube(2), CostModel::ncube2());
+        let mut frontend =
+            Frontend::new(machine, Config::default(), "fifo").expect("fifo is a known policy");
+        serve(&listener, &mut frontend, || 0.0).expect("serve");
+    });
+
+    // A request line that is not UTF-8 gets one error reply.
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    writer.write_all(b"\xff\xfe\n").expect("write");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read");
+    assert!(reply.contains("not UTF-8"), "non-UTF-8 line: {reply}");
+    drop((reader, writer));
+
+    // A client that closes with a reply unread resets the connection:
+    // wait until the reply has arrived, then close without reading it.
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    writer.write_all(b"{\"verb\":\"stats\"}\n").expect("write");
+    stream.peek(&mut [0u8; 1]).expect("peek");
+    drop((stream, writer));
+
+    // The next client is still served.
+    let stream = TcpStream::connect(addr).expect("reconnect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut ask = |line: &str| {
+        writeln!(writer, "{line}").expect("write");
+        writer.flush().expect("flush");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read");
+        reply.trim().to_string()
+    };
+    let stats = ask("{\"verb\":\"stats\"}");
+    assert!(stats.contains("\"jobs\":0"), "stats: {stats}");
+    let bye = ask("{\"verb\":\"shutdown\"}");
+    assert!(bye.contains("\"bye\":true"), "shutdown: {bye}");
+    server.join().expect("server thread");
+}

@@ -32,9 +32,13 @@
 //! worker pool's thread reuse: a p = 16384 sweep re-leases the same
 //! 16384 stacks run after run instead of re-faulting fresh pages.  The
 //! pool is capped so one huge run does not pin its high-water mark of
-//! memory forever.  Stacks are lazily committed (fresh allocations are
+//! memory forever.  Stacks are lazily committed (fresh mappings are
 //! zero pages until touched), so the default 1 MiB reservation costs
-//! only the few KiB a rank actually uses.
+//! only the few KiB a rank actually uses.  On x86-64 each stack is its
+//! own `mmap` with a `PROT_NONE` guard page below it: an overflowing
+//! rank dies by SIGSEGV rather than corrupting the heap.  That is two
+//! kernel mappings per stack, about 32k at p = 16384 — under Linux's
+//! default `vm.max_map_count` of 65530.
 //!
 //! ## Safety contract
 //!
@@ -86,10 +90,10 @@ pub(crate) fn stack_bytes() -> usize {
 /// Retired fiber stacks, reused across runs.  Capped: a single huge run
 /// parks at most `STACK_POOL_CAP` stacks here; the rest are freed and
 /// re-allocated (cheaply, as untouched lazy pages) by the next big run.
-static STACK_POOL: Mutex<Vec<Box<[u8]>>> = Mutex::new(Vec::new());
+static STACK_POOL: Mutex<Vec<Stack>> = Mutex::new(Vec::new());
 const STACK_POOL_CAP: usize = 2048;
 
-fn lease_stack(bytes: usize) -> Box<[u8]> {
+fn lease_stack(bytes: usize) -> Stack {
     let mut pool = STACK_POOL.lock().expect("fiber stack pool poisoned");
     // Size-exact reuse; other sizes (tests construct odd ones) stay
     // parked for their own leases.
@@ -97,30 +101,140 @@ fn lease_stack(bytes: usize) -> Box<[u8]> {
         return pool.swap_remove(pos);
     }
     drop(pool);
-    // Deliberately uninitialised: zeroing would fault in every page of
-    // the reservation up front (p × 1 MiB is tens of GiB at massive p),
-    // while the allocator's fresh mmap pages are already demand-zeroed
-    // by the kernel and a fiber touches only the few KiB it actually
-    // uses.  The buffer is never read as values — it is machine stack,
-    // accessed exclusively through raw pointers, seeded before the
-    // first switch.
-    #[allow(clippy::uninit_vec)] // the lint guards reads of uninit *values*; none occur
-    {
-        let mut stack = Vec::<u8>::with_capacity(bytes);
-        // SAFETY: `u8` is a plain byte; the contents are only ever used as
-        // raw stack memory (written before read by the running fiber), and
-        // `Vec`/`Box` drop logic never inspects element values.
-        unsafe { stack.set_len(bytes) };
-        stack.into_boxed_slice()
-    }
+    stack::alloc(bytes)
 }
 
-fn release_stack(stack: Box<[u8]>) {
+fn release_stack(stack: Stack) {
     let mut pool = STACK_POOL.lock().expect("fiber stack pool poisoned");
     if pool.len() < STACK_POOL_CAP {
         pool.push(stack);
     }
 }
+
+// =====================================================================
+// x86-64 stacks: one anonymous mapping each, its lowest page PROT_NONE,
+// so a rank that overflows its stack faults (SIGSEGV) instead of
+// writing into whatever memory lies below.
+// =====================================================================
+#[cfg(target_arch = "x86_64")]
+mod stack {
+    use std::ffi::{c_int, c_long, c_void};
+
+    // Linux x86-64 values.  std already links libc, so the three
+    // functions below resolve without a crate.
+    const PROT_NONE: c_int = 0;
+    const PROT_READ: c_int = 1;
+    const PROT_WRITE: c_int = 2;
+    const MAP_PRIVATE: c_int = 0x02;
+    const MAP_ANONYMOUS: c_int = 0x20;
+    const MAP_NORESERVE: c_int = 0x4000;
+
+    /// Guard size: one base page.
+    pub(super) const GUARD: usize = 4096;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: c_long,
+        ) -> *mut c_void;
+        fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    /// `len` usable bytes directly above a `PROT_NONE` guard page, in a
+    /// mapping of their own that is unmapped on drop.  Pages are
+    /// committed lazily, so the default 1 MiB costs only what a rank
+    /// touches.
+    pub(crate) struct Stack {
+        base: *mut c_void,
+        len: usize,
+    }
+
+    // SAFETY: `Stack` exclusively owns its mapping and `base` is never
+    // shared.  Only the pool moves stacks between threads, and it holds
+    // only stacks of finished fibers, which nothing runs on.
+    unsafe impl Send for Stack {}
+
+    pub(crate) fn alloc(len: usize) -> Stack {
+        let total = len + GUARD;
+        // SAFETY: a fresh private anonymous mapping at an address the
+        // kernel picks touches no existing memory.
+        let base = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                total,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
+                -1,
+                0,
+            )
+        };
+        assert!(
+            base as isize != -1,
+            "mmap of a {total}-byte fiber stack failed: {}",
+            std::io::Error::last_os_error()
+        );
+        let stack = Stack { base, len };
+        // SAFETY: `[base, base + GUARD)` is the first page of the
+        // mapping just created, which nothing else references yet.
+        let rc = unsafe { mprotect(base, GUARD, PROT_NONE) };
+        assert!(
+            rc == 0,
+            "mprotect of a fiber stack guard page failed: {}",
+            std::io::Error::last_os_error()
+        );
+        stack
+    }
+
+    impl Stack {
+        pub(crate) fn len(&self) -> usize {
+            self.len
+        }
+
+        /// One past the highest usable byte.
+        pub(crate) fn top(&self) -> usize {
+            self.base as usize + GUARD + self.len
+        }
+    }
+
+    impl Drop for Stack {
+        fn drop(&mut self) {
+            // SAFETY: `[base, base + len + GUARD)` is exactly the
+            // mapping `alloc` created, and dropping its owner ends every
+            // use of it (a fiber frees its stack only once finished).
+            // A failure would only leak the mapping, so it is ignored.
+            unsafe { munmap(self.base, self.len + GUARD) };
+        }
+    }
+}
+
+// The portable fallback's stacks belong to its OS threads; the pool
+// keeps plain heap buffers.
+#[cfg(not(target_arch = "x86_64"))]
+mod stack {
+    pub(crate) type Stack = Box<[u8]>;
+
+    pub(crate) fn alloc(bytes: usize) -> Stack {
+        // Deliberately uninitialised: zeroing would fault in every page
+        // of the reservation up front, while the allocator's fresh mmap
+        // pages are already demand-zeroed by the kernel.  The buffer is
+        // never read as values.
+        #[allow(clippy::uninit_vec)] // the lint guards reads of uninit *values*; none occur
+        {
+            let mut stack = Vec::<u8>::with_capacity(bytes);
+            // SAFETY: `u8` is a plain byte; the contents are never read
+            // as values, and `Vec`/`Box` drop logic never inspects them.
+            unsafe { stack.set_len(bytes) };
+            stack.into_boxed_slice()
+        }
+    }
+}
+
+use stack::Stack;
 
 /// Sizes of the stacks currently parked in the pool (test
 /// observability; x86-64 only — the portable fallback's stacks belong
@@ -140,7 +254,7 @@ fn pooled_stacks() -> Vec<usize> {
 // =====================================================================
 #[cfg(target_arch = "x86_64")]
 mod imp {
-    use super::{lease_stack, release_stack};
+    use super::{lease_stack, release_stack, Stack};
     use std::cell::Cell;
 
     std::arch::global_asm!(
@@ -220,7 +334,7 @@ mod imp {
         sched_rsp: usize,
         entry: Option<Box<dyn FnOnce()>>,
         finished: bool,
-        stack: Option<Box<[u8]>>,
+        stack: Option<Stack>,
     }
 
     pub(crate) struct Fiber {
@@ -266,7 +380,7 @@ mod imp {
             // ABI state (`rsp ≡ 8 (mod 16)` at its first instruction)
             // that compiled code — and the SSE-aligned panic machinery
             // it may invoke — depends on.
-            let top = (stack.as_ptr() as usize + stack.len()) & !15usize;
+            let top = stack.top() & !15usize;
             let arg: *mut Inner = &mut *inner;
             let seed: [usize; 7] = [
                 0,                                       // r15
@@ -278,8 +392,8 @@ mod imp {
                 mmsim_fiber_start as *const () as usize, // switch's `ret` target
             ];
             let base = (top - seed.len() * 8) as *mut usize;
-            // SAFETY: the seed region lies inside the owned stack
-            // allocation ([top-56, top) with top ≤ end), and `arg`
+            // SAFETY: the seed region lies inside the owned stack's
+            // usable bytes ([top-56, top) with top ≤ its end), and `arg`
             // stays valid because `Inner` is boxed and never moved.
             unsafe { std::ptr::copy_nonoverlapping(seed.as_ptr(), base, seed.len()) };
             inner.fiber_rsp = base as usize;
@@ -322,7 +436,7 @@ mod imp {
             } else {
                 // Suspended frames still own values; freeing the stack
                 // is memory-safe (the fiber can never run again) but
-                // skips their destructors, so the allocation is leaked
+                // skips their destructors, so the mapping is leaked
                 // rather than recycled.  Unreachable short of an
                 // engine bug — the scheduler cancels parked fibers.
                 debug_assert!(false, "dropped a suspended fiber (engine bug)");
@@ -581,6 +695,70 @@ mod tests {
         let mut again = Fiber::new(UNIQUE, Box::new(|| {}));
         assert!(again.resume());
         assert!(!pooled_stacks().contains(&UNIQUE));
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn the_page_below_each_stack_is_a_guard() {
+        let stack = stack::alloc(64 << 10);
+        let guard = stack.top() - stack.len() - stack::GUARD;
+        let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
+        let line = maps
+            .lines()
+            .find(|l| l.starts_with(&format!("{guard:x}-")))
+            .unwrap_or_else(|| panic!("no mapping starts at {guard:#x}"));
+        let end = format!("{:x}", guard + stack::GUARD);
+        assert!(line.split_whitespace().next() == Some(&format!("{guard:x}-{end}")));
+        assert!(line.contains(" ---p "), "guard page is accessible: {line}");
+    }
+
+    /// A second filter on the child's command line: it matches no test
+    /// name, and its presence tells the test it is the child.
+    #[cfg(target_arch = "x86_64")]
+    const OVERFLOW_CHILD: &str = "fiber-overflow-child";
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn overflowing_a_fiber_stack_dies_by_signal() {
+        use std::os::unix::process::ExitStatusExt;
+
+        if std::env::args().any(|a| a == OVERFLOW_CHILD) {
+            fn recurse(depth: u64) -> u64 {
+                if std::hint::black_box(depth) == u64::MAX {
+                    return 0;
+                }
+                let frame = std::hint::black_box([depth; 32]);
+                recurse(depth + 1).wrapping_add(frame[(depth % 32) as usize])
+            }
+            let mut fiber = Fiber::new(
+                64 << 10,
+                Box::new(|| {
+                    std::hint::black_box(recurse(0));
+                }),
+            );
+            fiber.resume();
+            // Unreachable unless the overflow went unnoticed.
+            std::process::exit(0);
+        }
+        let name = module_path!()
+            .split_once("::")
+            .map(|(_, path)| format!("{path}::overflowing_a_fiber_stack_dies_by_signal"))
+            .unwrap();
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([name.as_str(), "--exact", "--test-threads=1", OVERFLOW_CHILD])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("running 1 test"),
+            "the child must run exactly this test: {stdout}"
+        );
+        assert!(
+            out.status.signal().is_some(),
+            "the child must die by signal, got {:?}; stderr: {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 
     #[test]
